@@ -1,7 +1,7 @@
 use std::ops::Range;
 
 use pka_gpu::KernelId;
-use pka_ml::classify::{Classifier, Ensemble, GaussianNb, MlpClassifier, SgdClassifier};
+use pka_ml::classify::{Ensemble, GaussianNb, LabelMemo, MlpClassifier, SgdClassifier};
 use pka_ml::Matrix;
 use pka_profile::{LightweightRecord, Profiler};
 use pka_stats::Executor;
@@ -70,6 +70,11 @@ impl TwoLevelConfig {
     pub fn detailed_prefix_cap(&self) -> u64 {
         self.detailed_prefix_cap
     }
+
+    /// The classifier training seed.
+    pub fn classifier_seed(&self) -> u64 {
+        self.classifier_seed
+    }
 }
 
 /// The two-level profiling pipeline of Section 3.1 and Figure 3: detailed
@@ -137,19 +142,34 @@ impl TwoLevel {
         drop(train_span);
 
         // Classify the tail — millions of kernels for MLPerf — in chunks:
-        // each chunk streams its records one at a time (memory stays
-        // O(chunks × k)) and reduces to per-group counts, which are folded
-        // back in stream order. Group counts are order-independent sums, so
-        // the result is identical for any worker count.
+        // each chunk writes its records' features straight from the launch
+        // views into one flat buffer (no descriptor rebuild, no per-record
+        // allocation), labels them through a `LabelMemo`, and reduces to
+        // per-group counts, which are folded back in stream order. Labels
+        // equal per-record `ensemble.predict`, and group counts are
+        // order-independent sums, so the result is identical for any worker
+        // count.
         let _classify_span = pka_obs::span("two_level.classify");
         let k = selection.k();
+        let dims = LightweightRecord::FEATURE_COUNT;
         let chunks: Vec<Range<u64>> = chunk_ranges(j, workload.kernel_count(), CLASSIFY_CHUNK);
         let counts = self.exec.try_map(&chunks, |_, chunk| {
-            let mut counts = vec![0u64; k];
+            let mut features = Vec::with_capacity((chunk.end - chunk.start) as usize * dims);
             for id in chunk.clone() {
-                let kernel = workload.kernel(KernelId::new(id));
-                let record = LightweightRecord::new(KernelId::new(id), &kernel);
-                let group = ensemble.predict(&record.to_feature_vector())?;
+                let view = workload.launch_view(KernelId::new(id));
+                LightweightRecord::write_features(
+                    view.name,
+                    view.total_blocks,
+                    view.threads_per_block,
+                    view.shared_mem_per_block,
+                    view.total_threads(),
+                    &mut features,
+                );
+            }
+            let mut labels = Vec::new();
+            LabelMemo::new(dims).label_into(&ensemble, &features, &mut labels)?;
+            let mut counts = vec![0u64; k];
+            for group in labels {
                 counts[group] += 1;
             }
             if pka_obs::enabled() {

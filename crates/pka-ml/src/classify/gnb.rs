@@ -1,4 +1,4 @@
-use super::Classifier;
+use super::{argmax, Classifier};
 use crate::{Matrix, MlError};
 
 /// Gaussian naive Bayes classifier.
@@ -153,14 +153,7 @@ impl Classifier for GaussianNb {
                 actual: sample.len(),
             });
         }
-        let lp = self.log_posteriors(sample);
-        let best = lp
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("log-posteriors are finite"))
-            .map(|(i, _)| i)
-            .expect("at least one class");
-        Ok(self.classes[best])
+        Ok(self.classes[argmax(self.log_posteriors(sample))])
     }
 
     fn predict_into(
@@ -195,13 +188,7 @@ impl Classifier for GaussianNb {
                 }
                 *p = acc;
             }
-            let best = lp
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("log-posteriors are finite"))
-                .map(|(i, _)| i)
-                .expect("at least one class");
-            out.push(self.classes[best]);
+            out.push(self.classes[argmax(lp.iter().copied())]);
         }
         Ok(())
     }

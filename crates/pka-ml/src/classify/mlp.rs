@@ -1,6 +1,6 @@
 use pka_stats::hash::UnitStream;
 
-use super::Classifier;
+use super::{argmax, Classifier};
 use crate::{Matrix, MlError, StandardScaler};
 
 /// A single-hidden-layer multilayer perceptron classifier.
@@ -186,22 +186,15 @@ impl Classifier for MlpClassifier {
                 z.max(0.0)
             })
             .collect();
-        let best = self
-            .w2
-            .iter()
-            .map(|w| {
-                w[..HIDDEN]
-                    .iter()
-                    .zip(&hidden)
-                    .map(|(a, b)| a * b)
-                    .sum::<f64>()
-                    + w[HIDDEN]
-            })
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("logits are finite"))
-            .map(|(i, _)| i)
-            .expect("at least one class");
-        Ok(self.classes[best])
+        let logits = self.w2.iter().map(|w| {
+            w[..HIDDEN]
+                .iter()
+                .zip(&hidden)
+                .map(|(a, b)| a * b)
+                .sum::<f64>()
+                + w[HIDDEN]
+        });
+        Ok(self.classes[argmax(logits)])
     }
 
     fn predict_into(
@@ -223,22 +216,15 @@ impl Classifier for MlpClassifier {
                     w[..dd].iter().zip(&scaled).map(|(a, b)| a * b).sum::<f64>() + w[dd];
                 *hz = z.max(0.0);
             }
-            let best = self
-                .w2
-                .iter()
-                .map(|w| {
-                    w[..HIDDEN]
-                        .iter()
-                        .zip(&hidden)
-                        .map(|(a, b)| a * b)
-                        .sum::<f64>()
-                        + w[HIDDEN]
-                })
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("logits are finite"))
-                .map(|(i, _)| i)
-                .expect("at least one class");
-            out.push(self.classes[best]);
+            let logits = self.w2.iter().map(|w| {
+                w[..HIDDEN]
+                    .iter()
+                    .zip(&hidden)
+                    .map(|(a, b)| a * b)
+                    .sum::<f64>()
+                    + w[HIDDEN]
+            });
+            out.push(self.classes[argmax(logits)]);
         }
         Ok(())
     }

@@ -5,13 +5,17 @@
 //! kernels with one of three classifiers — stochastic gradient descent,
 //! Gaussian naive Bayes, or a multilayer perceptron (Section 3.1 of the
 //! paper). The [`Ensemble`] combines them by majority vote, which is how the
-//! reference tooling resolves disagreements.
+//! reference tooling resolves disagreements, and [`LabelMemo`] puts an exact
+//! memo in front of it so millions of tail kernels that share a few dozen
+//! launch shapes cost a few dozen ensemble calls.
 
 mod gnb;
+mod memo;
 mod mlp;
 mod sgd;
 
 pub use gnb::GaussianNb;
+pub use memo::LabelMemo;
 pub use mlp::MlpClassifier;
 pub use sgd::SgdClassifier;
 
@@ -79,6 +83,22 @@ pub(crate) fn check_batch(samples: &[f64], d: usize) -> Result<(), MlError> {
         });
     }
     Ok(())
+}
+
+/// Index of the maximal score, as `Iterator::max_by` over `partial_cmp`
+/// picks it (ties resolve to the last maximal index). NaN ranks below every
+/// number, so a row whose scores go non-finite still gets a deterministic
+/// label instead of aborting the process.
+pub(crate) fn argmax(scores: impl IntoIterator<Item = f64>) -> usize {
+    scores
+        .into_iter()
+        .enumerate()
+        .max_by(|a, b| {
+            a.1.partial_cmp(&b.1)
+                .unwrap_or_else(|| b.1.is_nan().cmp(&a.1.is_nan()))
+        })
+        .map(|(i, _)| i)
+        .expect("at least one class")
 }
 
 /// Fraction of samples whose prediction matches the reference label.

@@ -1,6 +1,6 @@
 use pka_stats::hash::UnitStream;
 
-use super::Classifier;
+use super::{argmax, Classifier};
 use crate::{Matrix, MlError, StandardScaler};
 
 /// Multinomial logistic regression trained by stochastic gradient descent.
@@ -127,22 +127,11 @@ fn softmax_scores_into(weights: &[Vec<f64>], row: &[f64], probs: &mut [f64]) {
     }
 }
 
-/// Index of the maximum score, matching `Iterator::max_by` over
-/// `partial_cmp` (ties resolve to the last maximal index).
-fn argmax(scores: &[f64]) -> usize {
-    scores
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("scores are finite"))
-        .map(|(i, _)| i)
-        .expect("at least one class")
-}
-
 impl Classifier for SgdClassifier {
     fn predict(&self, sample: &[f64]) -> Result<usize, MlError> {
         let scaled = self.scaler.transform_row(sample)?;
         let probs = softmax_scores(&self.weights, &scaled);
-        Ok(self.classes[argmax(&probs)])
+        Ok(self.classes[argmax(probs.iter().copied())])
     }
 
     fn predict_into(
@@ -159,7 +148,7 @@ impl Classifier for SgdClassifier {
         for row in samples.chunks_exact(d) {
             self.scaler.transform_row_into(row, &mut scaled)?;
             softmax_scores_into(&self.weights, &scaled, &mut probs);
-            out.push(self.classes[argmax(&probs)]);
+            out.push(self.classes[argmax(probs.iter().copied())]);
         }
         Ok(())
     }

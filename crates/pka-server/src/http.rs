@@ -186,22 +186,27 @@ impl Response {
         Self::json(status, &serde_json::json!({ "error": message }))
     }
 
-    /// Serialises status line, headers and body to `w`.
+    /// Serialises status line, headers and body to `w` in a single
+    /// `write_all`. On an unbuffered socket a separate head write and body
+    /// write is a write-write-read pattern: Nagle holds the body back until
+    /// the client's delayed ACK of the head, stalling every keep-alive reply
+    /// by tens of milliseconds.
     ///
     /// # Errors
     ///
     /// Propagates transport failures.
     pub fn write_to<W: Write>(&self, w: &mut W, keep_alive: bool) -> std::io::Result<()> {
         let connection = if keep_alive { "keep-alive" } else { "close" };
-        write!(
-            w,
+        let mut out = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
             self.status,
             reason(self.status),
             self.content_type,
             self.body.len()
-        )?;
-        w.write_all(&self.body)?;
+        )
+        .into_bytes();
+        out.extend_from_slice(&self.body);
+        w.write_all(&out)?;
         w.flush()
     }
 }

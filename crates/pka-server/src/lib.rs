@@ -410,7 +410,19 @@ impl PkaServer {
     ///
     /// Returns the number of body bytes written.
     fn serve_events(&self, writer: &mut TcpStream, session: &Arc<Session>) -> u64 {
-        let mut written = 0u64;
+        // The head and the header event leave in one write: a separate
+        // head write would hold the first event behind the client's
+        // delayed ACK (Nagle).
+        let head = "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nConnection: close\r\n\r\n";
+        let header_event = "data: {\"schema\":\"pka.snapshot/v1\",\"type\":\"header\"}\n\n";
+        if writer
+            .write_all(format!("{head}{header_event}").as_bytes())
+            .and_then(|()| writer.flush())
+            .is_err()
+        {
+            return 0;
+        }
+        let mut written = header_event.len() as u64;
         let mut send = |writer: &mut TcpStream, chunk: &str| -> bool {
             if writer.write_all(chunk.as_bytes()).and_then(|()| writer.flush()).is_ok() {
                 written += chunk.len() as u64;
@@ -419,16 +431,6 @@ impl PkaServer {
                 false
             }
         };
-        let head = "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nConnection: close\r\n\r\n";
-        if writer.write_all(head.as_bytes()).is_err() {
-            return 0;
-        }
-        if !send(
-            writer,
-            "data: {\"schema\":\"pka.snapshot/v1\",\"type\":\"header\"}\n\n",
-        ) {
-            return written;
-        }
 
         let mut last_seq: Option<u64> = None;
         loop {

@@ -2,7 +2,7 @@ use pka_core::{
     selection_attribution, ErrorAttribution, GroupProvenance, Pks, PksConfig,
     RepresentativePolicy, Selection,
 };
-use pka_ml::classify::{Classifier, Ensemble, GaussianNb, MlpClassifier, SgdClassifier};
+use pka_ml::classify::{Ensemble, GaussianNb, LabelMemo, MlpClassifier, SgdClassifier};
 use pka_ml::Matrix;
 use pka_profile::{DetailedRecord, LightweightRecord};
 use pka_stats::hash::{mix64, UnitStream};
@@ -807,25 +807,46 @@ impl StreamPks {
                 // actually buffered, so the final partial batch reuses the
                 // same grid (trailing chunks are empty) and per-record
                 // results still splice in stream order — the fold below is
-                // identical for any worker count.
+                // identical for any worker count. Each grid chunk owns a
+                // `LabelMemo` that stays warm across rounds (one chunk runs
+                // on one worker per round, so its lock is uncontended); the
+                // memo is scratch and cannot change a label.
+                let dims = LightweightRecord::FEATURE_COUNT;
                 let batch_cell: std::sync::RwLock<Vec<LightweightRecord>> =
                     std::sync::RwLock::new(Vec::with_capacity(self.config.batch));
+                let memos: Vec<std::sync::Mutex<LabelMemo>> = (0..self.config.batch.div_ceil(TAIL_CHUNK))
+                    .map(|_| std::sync::Mutex::new(LabelMemo::new(dims)))
+                    .collect();
                 self.exec.rounds(
                     self.config.batch,
                     TAIL_CHUNK,
-                    |_, range| {
+                    |chunk, range| {
                         let batch = batch_cell.read().expect("tail batch lock");
                         let lo = range.start.min(batch.len());
                         let hi = range.end.min(batch.len());
-                        let mut out = Vec::with_capacity(hi - lo);
-                        for record in &batch[lo..hi] {
-                            let features = record.to_feature_vector();
-                            match ensemble.predict(&features) {
-                                Ok(label) => out.push((label, features)),
-                                Err(e) => return Err(e),
-                            }
+                        let records = &batch[lo..hi];
+                        let mut flat = Vec::with_capacity(records.len() * dims);
+                        for record in records {
+                            LightweightRecord::write_features(
+                                &record.name,
+                                record.grid_blocks,
+                                record.block_threads,
+                                record.shared_mem_bytes,
+                                record.tensor_elements,
+                                &mut flat,
+                            );
                         }
-                        Ok(out)
+                        let mut labels = Vec::new();
+                        memos[chunk]
+                            .lock()
+                            .expect("tail memo lock")
+                            .label_into(ensemble, &flat, &mut labels)?;
+                        let classified: Vec<(usize, Vec<f64>)> = labels
+                            .into_iter()
+                            .zip(flat.chunks_exact(dims))
+                            .map(|(label, features)| (label, features.to_vec()))
+                            .collect();
+                        Ok::<_, pka_ml::MlError>(classified)
                     },
                     |run| -> Result<(), StreamError> {
                         loop {

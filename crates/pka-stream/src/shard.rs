@@ -31,13 +31,14 @@
 //!
 //! The tail avoids the single-shard pipeline's per-record costs: features
 //! come from the source's launch-view fast path
-//! ([`KernelSource::next_features_into`]), classification is batched
-//! ([`Ensemble::predict_into`]'s majority short-circuit) behind an exact
-//! memo table keyed on the raw feature bits, and records fold shard-local
-//! with no cross-shard synchronisation inside a round.
+//! ([`KernelSource::next_features_into`]), each shard labels its rows
+//! through its own [`LabelMemo`] (the exact memoised batch classifier the
+//! batch two-level pipeline and [`StreamPks`](crate::StreamPks) share), and
+//! records fold shard-local with no cross-shard synchronisation inside a
+//! round.
 
 use pka_core::{selection_attribution, ErrorAttribution, Selection, ShardAttribution};
-use pka_ml::classify::{Classifier, Ensemble};
+use pka_ml::classify::{Ensemble, LabelMemo};
 use pka_stats::hash::{mix64, UnitStream};
 use pka_stats::Executor;
 use serde_json::json;
@@ -52,22 +53,6 @@ use crate::pipeline::{PrefixModel, StreamConfig, StreamReport};
 use crate::ring::HashRing;
 use crate::source::KernelSource;
 use crate::StreamError;
-
-/// Slots in each shard's direct-mapped classification memo. The synthetic
-/// and real streams are template-heavy (few distinct launch shapes), so a
-/// small exact cache absorbs almost every ensemble call.
-const MEMO_SLOTS: usize = 1024;
-
-/// FNV-1a over the raw feature bit patterns; the full row is still
-/// compared on lookup, so a colliding slot can only miss, never mislabel.
-fn memo_key(row: &[f64]) -> (u64, usize) {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &x in row {
-        h ^= x.to_bits();
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h, (h % MEMO_SLOTS as u64) as usize)
-}
 
 /// One shard's complete online state (plus unpersisted scratch).
 struct ShardState {
@@ -84,14 +69,10 @@ struct ShardState {
     // Scratch below: pure caches/buffers, never checkpointed. A shard
     // rebuilt from its serialised section starts these fresh, which cannot
     // change any output (the memo is an exact cache of a pure function).
-    memo_keys: Vec<u64>,
-    memo_labels: Vec<usize>,
-    memo_rows: Vec<f64>,
+    memo: LabelMemo,
     row_idx: Vec<usize>,
+    rows: Vec<f64>,
     labels: Vec<usize>,
-    miss_idx: Vec<usize>,
-    miss_flat: Vec<f64>,
-    miss_labels: Vec<usize>,
     norm: Vec<f64>,
 }
 
@@ -164,14 +145,10 @@ impl ShardState {
             records,
             drifts,
             reclusters,
-            memo_keys: vec![0; MEMO_SLOTS],
-            memo_labels: vec![usize::MAX; MEMO_SLOTS],
-            memo_rows: vec![0.0; MEMO_SLOTS * dims],
+            memo: LabelMemo::new(dims),
             row_idx: Vec::new(),
+            rows: Vec::new(),
             labels: Vec::new(),
-            miss_idx: Vec::new(),
-            miss_flat: Vec::new(),
-            miss_labels: Vec::new(),
             norm: Vec::with_capacity(dims),
         }
     }
@@ -926,10 +903,9 @@ fn emit_shard_snapshot(
 
 /// Classifies and folds every row routed to `shard`, in stream order.
 ///
-/// Classification is memo-first: an exact direct-mapped cache over the raw
-/// feature bits, with misses batch-predicted through the ensemble's
-/// short-circuit path. Labels are identical to per-record
-/// `ensemble.predict` on every row.
+/// The shard's rows are gathered into one flat batch and labelled through
+/// its [`LabelMemo`], which matches per-record `ensemble.predict` on every
+/// row.
 fn classify_and_fold(
     state: &mut ShardState,
     input: &RoundInput,
@@ -940,61 +916,26 @@ fn classify_and_fold(
     shard_cap: usize,
 ) -> Result<(), StreamError> {
     let mut row_idx = std::mem::take(&mut state.row_idx);
+    let mut rows = std::mem::take(&mut state.rows);
+    let mut labels = std::mem::take(&mut state.labels);
     row_idx.clear();
+    rows.clear();
     for (row, &owner) in input.owners.iter().enumerate() {
         if owner == shard {
             row_idx.push(row);
+            rows.extend_from_slice(&input.flat[row * dims..(row + 1) * dims]);
         }
     }
-    if row_idx.is_empty() {
-        state.row_idx = row_idx;
-        return Ok(());
-    }
-
-    let mut labels = std::mem::take(&mut state.labels);
-    let mut miss_idx = std::mem::take(&mut state.miss_idx);
-    let mut miss_flat = std::mem::take(&mut state.miss_flat);
-    labels.clear();
-    labels.resize(row_idx.len(), usize::MAX);
-    miss_idx.clear();
-    miss_flat.clear();
-    for (i, &row) in row_idx.iter().enumerate() {
-        let features = &input.flat[row * dims..(row + 1) * dims];
-        let (key, slot) = memo_key(features);
-        if state.memo_labels[slot] != usize::MAX
-            && state.memo_keys[slot] == key
-            && state.memo_rows[slot * dims..(slot + 1) * dims] == *features
-        {
-            labels[i] = state.memo_labels[slot];
-        } else {
-            miss_idx.push(i);
-            miss_flat.extend_from_slice(features);
+    if !row_idx.is_empty() {
+        state.memo.label_into(ensemble, &rows, &mut labels)?;
+        let classified = row_idx.iter().zip(&labels).zip(rows.chunks_exact(dims));
+        for ((&row, &label), features) in classified {
+            fold_row(state, config, shard_cap, label, features, input.base_pos + row as u64);
         }
     }
-    if !miss_idx.is_empty() {
-        let mut miss_labels = std::mem::take(&mut state.miss_labels);
-        ensemble.predict_into(&miss_flat, dims, &mut miss_labels)?;
-        for (&i, &label) in miss_idx.iter().zip(&miss_labels) {
-            labels[i] = label;
-            let features = &input.flat[row_idx[i] * dims..(row_idx[i] + 1) * dims];
-            let (key, slot) = memo_key(features);
-            state.memo_keys[slot] = key;
-            state.memo_labels[slot] = label;
-            state.memo_rows[slot * dims..(slot + 1) * dims].copy_from_slice(features);
-        }
-        state.miss_labels = miss_labels;
-    }
-
-    for (i, &row) in row_idx.iter().enumerate() {
-        let pos = input.base_pos + row as u64;
-        let features = &input.flat[row * dims..(row + 1) * dims];
-        fold_row(state, config, shard_cap, labels[i], features, pos);
-    }
-
     state.row_idx = row_idx;
+    state.rows = rows;
     state.labels = labels;
-    state.miss_idx = miss_idx;
-    state.miss_flat = miss_flat;
     Ok(())
 }
 

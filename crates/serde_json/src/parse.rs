@@ -4,10 +4,17 @@ use serde::value::{Map, Number, Value};
 
 use crate::Error;
 
+/// Deepest array/object nesting a document may have. The parser recurses
+/// once per level, so without a bound a few kilobytes of `[[[[…` would
+/// overflow the thread's stack and abort the process; past the bound the
+/// document is rejected with an ordinary [`Error`].
+const MAX_DEPTH: usize = 128;
+
 pub(crate) fn parse(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -21,6 +28,8 @@ pub(crate) fn parse(input: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -87,11 +96,23 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {
@@ -259,5 +280,35 @@ fn utf8_len(first_byte: u8) -> Option<usize> {
         0xe0..=0xef => Some(3),
         0xf0..=0xf7 => Some(4),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn nested_arrays(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        let v = parse(&nested_arrays(MAX_DEPTH)).unwrap();
+        assert!(v.as_array().is_some());
+        let mixed = "{\"a\":".repeat(MAX_DEPTH - 1) + "[1]" + &"}".repeat(MAX_DEPTH - 1);
+        assert!(parse(&mixed).is_ok());
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        for doc in [
+            nested_arrays(MAX_DEPTH + 1),
+            nested_arrays(50_000),
+            "[".repeat(50_000),
+            "{\"k\":".repeat(50_000),
+        ] {
+            let err = parse(&doc).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        }
     }
 }

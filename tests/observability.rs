@@ -1,12 +1,16 @@
 //! End-to-end observability contract of the `pka` binary: a traced run
 //! emits schema-valid JSONL, and the `--metrics-out` manifest's counter
 //! totals agree with the workload's ground truth (the Table 3 kernel
-//! counts) and with the acceptance bar for stage coverage.
+//! counts) and with the acceptance bar for stage coverage. The tail
+//! classifier's cost-driver counters account for every classified kernel.
 
 use std::path::PathBuf;
 use std::process::Command;
 
+use principal_kernel_analysis::core::{Executor, TwoLevel, TwoLevelConfig};
+use principal_kernel_analysis::gpu::GpuConfig;
 use principal_kernel_analysis::obs;
+use principal_kernel_analysis::profile::Profiler;
 use principal_kernel_analysis::workloads::all_workloads;
 use serde_json::Value;
 
@@ -163,4 +167,42 @@ fn simulate_manifest_covers_wall_time_and_stop_rule() {
     );
 
     std::fs::remove_file(&manifest).ok();
+}
+
+/// A traced two-level select: every tail kernel is either a classifier-memo
+/// hit or a miss (one ensemble row), so the two counters sum to the
+/// classified tail — and on a template-heavy stream the memo absorbs almost
+/// all of it. This file's only global-registry test; the others observe
+/// child processes.
+#[test]
+fn traced_two_level_memo_counters_cover_the_classified_tail() {
+    let trace = temp_path("two_level_trace.jsonl");
+    let w = all_workloads()
+        .into_iter()
+        .find(|w| w.name() == "gramschmidt")
+        .expect("gramschmidt exists");
+    let cap = 600;
+    obs::reset();
+    obs::enable();
+    obs::trace_to(&trace).expect("open trace");
+    let selection = TwoLevel::new(TwoLevelConfig::default().with_detailed_prefix_cap(cap))
+        .with_executor(Executor::new(2))
+        .analyze(&w, &Profiler::new(GpuConfig::v100()))
+        .expect("two-level select");
+    let counter = |name| obs::counter(name).get();
+    let (hits, misses, classified) = (
+        counter("classify.memo_hits"),
+        counter("classify.memo_misses"),
+        counter("two_level.classified"),
+    );
+    obs::close_trace().expect("close trace");
+    obs::disable();
+
+    assert_eq!(selection.kernels_represented(), w.kernel_count());
+    assert_eq!(classified, w.kernel_count() - cap);
+    assert_eq!(hits + misses, classified, "hits {hits} + misses {misses}");
+    assert!(misses >= 1 && hits > 10 * misses, "hits {hits}, misses {misses}");
+    let body = std::fs::read_to_string(&trace).expect("read trace");
+    assert!(body.contains("\"two_level.classify\""), "trace lacks the classify span");
+    std::fs::remove_file(&trace).ok();
 }

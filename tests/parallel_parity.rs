@@ -11,10 +11,14 @@
 use std::num::NonZeroUsize;
 
 use principal_kernel_analysis::core::{
-    Pka, PkaConfig, PksConfig, Selection, SimulationReport, TwoLevel, TwoLevelConfig,
+    Pka, PkaConfig, Pks, PksConfig, Selection, SimulationReport, TwoLevel, TwoLevelConfig,
 };
-use principal_kernel_analysis::gpu::GpuConfig;
-use principal_kernel_analysis::profile::Profiler;
+use principal_kernel_analysis::gpu::{GpuConfig, KernelId};
+use principal_kernel_analysis::ml::classify::{
+    Classifier, Ensemble, GaussianNb, MlpClassifier, SgdClassifier,
+};
+use principal_kernel_analysis::ml::Matrix;
+use principal_kernel_analysis::profile::{LightweightRecord, Profiler};
 use principal_kernel_analysis::workloads::{all_workloads, Workload};
 
 /// Worker counts exercised against the sequential baseline. Real threads
@@ -136,6 +140,72 @@ fn silicon_report_parity_across_worker_counts() {
             );
         }
     }
+}
+
+/// The two-level pipeline as it classified the tail before the memoised
+/// batch path: one materialised descriptor, one lightweight record, one
+/// feature vector and one `Ensemble::predict` call per tail kernel, run
+/// sequentially in stream order. The oracle the fast path must reproduce.
+fn per_record_two_level(w: &Workload, config: TwoLevelConfig, profiler: &Profiler) -> Selection {
+    let j = TwoLevel::new(config).detailed_prefix(w);
+    let detailed = profiler.detailed(w, 0..j).expect("detailed prefix");
+    let mut selection = Pks::new(config.pks()).select(&detailed).expect("prefix PKS");
+    let rows: Vec<Vec<f64>> = profiler
+        .lightweight(w, 0..j)
+        .iter()
+        .map(LightweightRecord::to_feature_vector)
+        .collect();
+    let x = Matrix::from_rows(&rows).expect("training matrix");
+    let y = selection.labels().to_vec();
+    let seed = config.classifier_seed();
+    let ensemble = Ensemble::new(vec![
+        Box::new(SgdClassifier::fit(&x, &y, seed).expect("sgd")),
+        Box::new(GaussianNb::fit(&x, &y).expect("gnb")),
+        Box::new(MlpClassifier::fit(&x, &y, seed ^ 0xff).expect("mlp")),
+    ]);
+    for id in j..w.kernel_count() {
+        let id = KernelId::new(id);
+        let record = LightweightRecord::new(id, &w.kernel(id));
+        let group = ensemble.predict(&record.to_feature_vector()).expect("predict");
+        selection.add_classified_member(group);
+    }
+    selection
+}
+
+/// `TwoLevel::analyze` equals the per-record oracle on `name` with the
+/// detailed prefix capped at `cap`, at 1, 2 and 4 workers.
+fn assert_two_level_matches_oracle(name: &str, cap: u64) {
+    let profiler = Profiler::new(GpuConfig::v100());
+    let w = workload(name);
+    let config = TwoLevelConfig::default().with_detailed_prefix_cap(cap);
+    let oracle = per_record_two_level(&w, config, &profiler);
+    assert_eq!(oracle.kernels_represented(), w.kernel_count());
+    for workers in [1, 2, 4] {
+        let exec = principal_kernel_analysis::core::Executor::new(workers);
+        let fast = TwoLevel::new(config)
+            .with_executor(exec)
+            .analyze(&w, &profiler.clone().with_executor(exec))
+            .expect("two-level");
+        assert_eq!(fast.k(), oracle.k(), "{name}: K at {workers} workers");
+        assert_eq!(
+            fast.representative_ids(),
+            oracle.representative_ids(),
+            "{name}: representatives at {workers} workers"
+        );
+        let counts = |s: &Selection| s.groups().iter().map(|g| g.count()).collect::<Vec<_>>();
+        assert_eq!(counts(&fast), counts(&oracle), "{name}: group counts at {workers} workers");
+        assert_eq!(fast, oracle, "{name}: selection at {workers} workers");
+    }
+}
+
+#[test]
+fn two_level_matches_the_per_record_oracle_on_a_capped_mlperf_stream() {
+    assert_two_level_matches_oracle("mlperf_bert_offline_infer", 2_000);
+}
+
+#[test]
+fn two_level_matches_the_per_record_oracle_on_gramschmidt() {
+    assert_two_level_matches_oracle("gramschmidt", 600);
 }
 
 #[test]

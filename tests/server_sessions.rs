@@ -510,3 +510,73 @@ fn session_caps_and_lru_eviction() {
     assert_eq!(summary["status"], json!("cancelled"));
     assert!(registry.get(&second_id).is_none(), "retain 0 evicts it too");
 }
+
+// ---------------------------------------------------------------------------
+// Hostile bodies
+// ---------------------------------------------------------------------------
+
+#[test]
+fn deeply_nested_session_spec_is_rejected_and_the_server_keeps_serving() {
+    let lines = export_lines(3_000, 150);
+    let config = StreamConfig::default()
+        .with_prefix(150)
+        .with_checkpoint_every(1_000)
+        .with_reservoir(128)
+        .with_batch(64);
+    let direct = {
+        let reader = std::io::Cursor::new(lines.clone().into_bytes());
+        let mut source = JsonlSource::from_reader("feed:nesting", reader);
+        StreamPks::new(config)
+            .with_executor(Executor::new(1))
+            .run(&mut source, |_| Ok(()))
+            .expect("direct run")
+    };
+
+    let server = PkaServer::bind(ServerConfig::default()).expect("bind");
+    let addr = server.addr().expect("addr");
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.run().expect("run"));
+
+        // A feed session that is mid-stream while the hostile body arrives.
+        let id = create_session(
+            addr,
+            &json!({
+                "mode": "stream",
+                "source": "feed",
+                "source_name": "feed:nesting",
+                "prefix": 150,
+                "checkpoint_every": 1_000,
+                "reservoir": 128,
+                "batch": 64,
+            }),
+        );
+        let (first, rest) = lines.split_at(lines.match_indices('\n').nth(1_499).unwrap().0 + 1);
+        let (status, body) = request(addr, "POST", &format!("/v1/sessions/{id}/records"), first);
+        assert_eq!(status, 200, "{body}");
+
+        // 50k levels of nesting would overflow a recursive parser's stack
+        // and abort the whole process; it must be an ordinary 400 instead.
+        let hostile = "[".repeat(50_000) + &"]".repeat(50_000);
+        let (status, body) = request(addr, "POST", "/v1/sessions", &hostile);
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("nesting"), "{body}");
+
+        let (status, body) = request(addr, "GET", "/healthz", "");
+        assert_eq!((status, body.as_str()), (200, "{\"ok\":true}\n"));
+
+        // The running session finishes exactly as a direct run does.
+        let (status, body) = request(addr, "POST", &format!("/v1/sessions/{id}/records"), rest);
+        assert_eq!(status, 200, "{body}");
+        let (status, body) = request(addr, "POST", &format!("/v1/sessions/{id}/finish"), "");
+        assert_eq!(status, 200, "{body}");
+        let result = wait_result(addr, &id);
+        assert_eq!(result["selected_k"], json!(direct.report.selected_k as u64));
+        let mut want_ckpt = direct.final_checkpoint.to_json();
+        want_ckpt.push('\n');
+        assert_eq!(fetch(addr, &id, "checkpoint"), want_ckpt);
+
+        let (status, _) = request(addr, "POST", "/v1/shutdown", "");
+        assert_eq!(status, 200);
+        handle.join().expect("server thread");
+    });
+}
