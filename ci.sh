@@ -3,7 +3,8 @@
 # the same gate runs locally: `./ci.sh`.
 #
 # Stages:
-#   1. release build (the binaries the experiments run through)
+#   1. release build (the binaries the experiments run through), plus the
+#      e2ebench package, which builds against the library crates by path
 #   2. tier-1 test suite (root package: integration + parity + property tests)
 #   3. tier-1 again, single-threaded — the parity suite spawns its own
 #      worker threads, so this catches any accidental dependence on the
@@ -59,6 +60,9 @@ cd "$(dirname "$0")"
 
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> e2ebench build (a library change must not break the benchmark)"
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml
 
 echo "==> cargo test -q (tier 1)"
 cargo test -q

@@ -400,19 +400,62 @@ impl Pka {
         let silicon = self.profiler.silicon_run(workload)?;
         let simulator = Simulator::new(self.gpu.clone(), self.config.sim);
 
-        // Baseline: full simulation of every kernel, one per work item;
-        // weighted DRAM utilisation folds in launch-stream order.
-        let (fullsim_cycles, fullsim_dram, sim_error) = if run_full_sim {
-            let _span = pka_obs::span("pka.fullsim_baseline");
-            let ids: Vec<u64> = (0..workload.kernel_count()).collect();
-            let runs = self.config.exec.try_map(&ids, |_, &id| {
-                let kernel = workload.kernel(pka_gpu::KernelId::new(id));
+        // One fan-out runs every simulation the report needs. With the
+        // full-simulation baseline, items `0..n` run each kernel to
+        // completion and items `n..n + K` run each representative under a
+        // fresh PKP monitor. The simulator is deterministic, so a
+        // representative's PKS cycles are the baseline's figure for its
+        // kernel, not a second run to completion; without the baseline, a
+        // representative item runs both. Baseline items come first, so the
+        // first error by item index is the one the baseline would raise,
+        // and a long baseline kernel overlaps the PKP runs instead of
+        // stalling the fan-out behind it. Monitors are item-local state, so
+        // items stay independent; every reduction folds in item order.
+        let reps: Vec<_> = selection.representative_ids();
+        let n_base = if run_full_sim {
+            workload.kernel_count() as usize
+        } else {
+            0
+        };
+        let items: Vec<usize> = (0..n_base + reps.len()).collect();
+        let sim_span = pka_obs::span(if run_full_sim {
+            "pka.fullsim_baseline"
+        } else {
+            "pka.rep_sim"
+        });
+        let runs = self.config.exec.try_map(&items, |_, &item| {
+            let Some(rep) = item.checked_sub(n_base) else {
+                let kernel = workload.kernel(pka_gpu::KernelId::new(item as u64));
                 let r = simulator.run_kernel(&kernel)?;
-                Ok::<_, PkaError>((r.cycles, r.dram_util_pct))
-            })?;
+                return Ok::<_, PkaError>(SimItem::Baseline(r.cycles, r.dram_util_pct));
+            };
+            let kernel = workload.kernel(reps[rep]);
+            let full_cycles = if run_full_sim {
+                None
+            } else {
+                Some(simulator.run_kernel(&kernel)?.cycles)
+            };
+            let mut monitor =
+                PkpMonitor::new(self.config.pkp, self.config.sim.sample_interval());
+            let stopped = simulator.run_kernel_monitored(&kernel, &mut monitor)?;
+            let projected = ProjectedKernel::from_monitored(&stopped, &monitor);
+            Ok(SimItem::Rep(full_cycles, projected))
+        })?;
+        drop(sim_span);
+        let mut baseline = Vec::with_capacity(n_base);
+        let mut rep_runs = Vec::with_capacity(reps.len());
+        for run in runs {
+            match run {
+                SimItem::Baseline(cycles, dram) => baseline.push((cycles, dram)),
+                SimItem::Rep(full_cycles, projected) => rep_runs.push((full_cycles, projected)),
+            }
+        }
+
+        // Baseline: weighted DRAM utilisation folds in launch-stream order.
+        let (fullsim_cycles, fullsim_dram, sim_error) = if run_full_sim {
             let mut total = 0u64;
             let mut dram_weighted = 0.0f64;
-            for (cycles, dram_util_pct) in runs {
+            for &(cycles, dram_util_pct) in &baseline {
                 total += cycles;
                 dram_weighted += dram_util_pct * cycles as f64;
             }
@@ -426,22 +469,6 @@ impl Pka {
             (None, None, None)
         };
 
-        // Each representative is one work item: PKS simulates it to
-        // completion, PKA re-simulates it under a fresh PKP monitor. The
-        // monitor is item-local state, so items stay independent; the
-        // weighted DRAM reduction folds in representative order.
-        let _rep_span = pka_obs::span("pka.rep_sim");
-        let reps: Vec<_> = selection.representative_ids();
-        let rep_runs = self.config.exec.try_map(&reps, |_, &id| {
-            let kernel = workload.kernel(id);
-            let full = simulator.run_kernel(&kernel)?;
-            let mut monitor =
-                PkpMonitor::new(self.config.pkp, self.config.sim.sample_interval());
-            let stopped = simulator.run_kernel_monitored(&kernel, &mut monitor)?;
-            let projected = ProjectedKernel::from_monitored(&stopped, &monitor);
-            Ok::<_, PkaError>((full.cycles, projected))
-        })?;
-
         // PKS-only: representatives simulated to completion.
         let mut pks_rep_cycles = Vec::with_capacity(selection.k());
         let mut pks_spent = 0u64;
@@ -453,6 +480,7 @@ impl Pka {
         let mut per_representative = Vec::with_capacity(selection.k());
         let mut rep_samples = Vec::with_capacity(selection.k());
         for (&id, (full_cycles, projected)) in reps.iter().zip(rep_runs) {
+            let full_cycles = full_cycles.unwrap_or_else(|| baseline[id.index() as usize].0);
             pks_rep_cycles.push(full_cycles);
             pks_spent += full_cycles;
             pka_rep_cycles.push(projected.cycles);
@@ -511,6 +539,16 @@ impl Pka {
         };
         Ok((report, attribution))
     }
+}
+
+/// One work item of [`Pka::evaluate_in_simulation`]'s simulation fan-out.
+enum SimItem {
+    /// A baseline kernel run to completion: its cycles and DRAM
+    /// utilisation.
+    Baseline(u64, f64),
+    /// A representative's PKP-monitored run, with its own run to completion
+    /// when no baseline ran.
+    Rep(Option<u64>, ProjectedKernel),
 }
 
 #[cfg(test)]

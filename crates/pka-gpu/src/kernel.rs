@@ -135,7 +135,7 @@ impl InstClass {
 
     /// Returns `true` for classes that access global memory (and therefore
     /// the L1/L2/DRAM hierarchy).
-    pub fn is_global_memory(self) -> bool {
+    pub const fn is_global_memory(self) -> bool {
         matches!(
             self,
             InstClass::LdGlobal

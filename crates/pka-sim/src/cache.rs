@@ -6,6 +6,12 @@
 /// model (no MSHR merging), which is the fidelity level the PKA methodology
 /// needs — miss rates and the resulting latency/bandwidth pressure.
 ///
+/// Each set is stored as a tag-only list in recency order, most recently
+/// used first: a hit moves its line to the front and a fill evicts the
+/// back. That order *is* the LRU order, so there are no per-line
+/// timestamps to keep, and the whole model is one tag word per line plus a
+/// fill count per set.
+///
 /// # Examples
 ///
 /// ```
@@ -20,11 +26,11 @@ pub struct SetAssocCache {
     sets: usize,
     ways: usize,
     line_shift: u32,
-    /// `tags[set * ways + way]`; `u64::MAX` = invalid.
+    /// `tags[set * ways..][..ways]`: the set's resident lines, most recently
+    /// used first; only the first `filled[set]` entries are valid.
     tags: Vec<u64>,
-    /// Per-line logical timestamp for LRU.
-    stamps: Vec<u64>,
-    clock: u64,
+    /// Valid lines per set (a set fills front to back, never shrinks).
+    filled: Vec<u32>,
     accesses: u64,
     misses: u64,
 }
@@ -34,10 +40,11 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `ways` is zero, or `line_bytes` is not a power of
-    /// two.
+    /// Panics if `sets` or `ways` is zero, `ways` exceeds `u32::MAX`, or
+    /// `line_bytes` is not a power of two.
     pub fn new(sets: usize, ways: usize, line_bytes: u64) -> Self {
         assert!(sets > 0 && ways > 0, "cache must have sets and ways");
+        assert!(u32::try_from(ways).is_ok(), "too many ways");
         assert!(
             line_bytes.is_power_of_two(),
             "line size must be a power of two"
@@ -46,9 +53,8 @@ impl SetAssocCache {
             sets,
             ways,
             line_shift: line_bytes.trailing_zeros(),
-            tags: vec![u64::MAX; sets * ways],
-            stamps: vec![0; sets * ways],
-            clock: 0,
+            tags: vec![0; sets * ways],
+            filled: vec![0; sets],
             accesses: 0,
             misses: 0,
         }
@@ -65,31 +71,29 @@ impl SetAssocCache {
 
     /// Probes (and fills on miss) the line containing `addr`. Returns `true`
     /// on hit.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        self.clock += 1;
         self.accesses += 1;
         let line = addr >> self.line_shift;
         let set = (line as usize) % self.sets;
-        let base = set * self.ways;
-        let slots = &mut self.tags[base..base + self.ways];
+        let filled = self.filled[set] as usize;
+        let slots = &mut self.tags[set * self.ways..][..self.ways];
 
-        if let Some(way) = slots.iter().position(|&t| t == line) {
-            self.stamps[base + way] = self.clock;
+        if let Some(way) = slots[..filled].iter().position(|&t| t == line) {
+            // Promote to most recently used.
+            slots.copy_within(..way, 1);
+            slots[0] = line;
             return true;
         }
         self.misses += 1;
-        // Fill into invalid or LRU way.
-        let victim = match slots.iter().position(|&t| t == u64::MAX) {
-            Some(w) => w,
-            None => {
-                let stamps = &self.stamps[base..base + self.ways];
-                (0..self.ways)
-                    .min_by_key(|&w| stamps[w])
-                    .expect("ways > 0")
-            }
-        };
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.clock;
+        // Fill at the front; a full set drops its back (least recent) line.
+        if filled < self.ways {
+            self.filled[set] += 1;
+            slots.copy_within(..filled, 1);
+        } else {
+            slots.copy_within(..filled - 1, 1);
+        }
+        slots[0] = line;
         false
     }
 
@@ -114,9 +118,7 @@ impl SetAssocCache {
 
     /// Invalidates all lines and resets statistics.
     pub fn reset(&mut self) {
-        self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
-        self.clock = 0;
+        self.filled.fill(0);
         self.accesses = 0;
         self.misses = 0;
     }

@@ -85,12 +85,6 @@ impl DramModel {
         let capacity = elapsed_cycles as f64 * self.busy_until.len() as f64;
         (self.busy_cycles as f64 / capacity * 100.0).min(100.0)
     }
-
-    /// The earliest cycle at which any channel is free (used for
-    /// time-skipping when all warps are stalled on memory).
-    pub fn earliest_free(&self) -> u64 {
-        self.busy_until.iter().copied().min().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

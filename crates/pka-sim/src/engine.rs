@@ -333,13 +333,53 @@ const DEP_EVERY: u64 = 6;
 /// small enough that even short kernels re-touch it within their lifetime).
 const HOT_SECTORS: u64 = 64;
 
+/// Issue-class slots of the ready set: one per [`InstClass`] (by
+/// [`InstClass::index`]) plus [`RETIRE`].
+const CLASS_SLOTS: usize = InstClass::ALL.len() + 1;
+/// The class slot of a warp past its last instruction: its next visit
+/// retires it.
+const RETIRE: u8 = InstClass::ALL.len() as u8;
+/// Class slots that never wait for credit: barriers and retirement.
+const CREDIT_FREE: u16 = 1 << InstClass::Sync as u8 | 1 << RETIRE;
+/// Class slots of the global-memory classes.
+const GLOBAL_MEMORY: u16 = {
+    let mut mask = 0u16;
+    let mut i = 0;
+    while i < InstClass::ALL.len() {
+        if InstClass::ALL[i].is_global_memory() {
+            mask |= 1 << i;
+        }
+        i += 1;
+    }
+    mask
+};
+
+/// The class slot of a warp's next instruction.
+fn class_slot(next: Option<InstClass>) -> u8 {
+    next.map_or(RETIRE, |c| c.index() as u8)
+}
+
 #[derive(Debug)]
 struct Warp {
     cursor: WarpCursor,
+    /// The instruction at `cursor` (`None` past the end), refreshed on
+    /// every advance so the issue loop never walks the program.
+    next: Option<InstClass>,
     block_slot: usize,
     stream: UnitStream,
-    issued: u64,
+    /// Its bucket's [`Sm::bucket_walks`] when this warp last entered the
+    /// ready set.
+    ready_walk: u64,
     active: bool,
+}
+
+/// One ready-set entry: a warp and the class slot of its next instruction
+/// (fixed while the warp waits, so the issue walk never has to load the
+/// warp to decide that it stalls).
+#[derive(Debug, Clone, Copy)]
+struct ReadyWarp {
+    warp: u32,
+    class: u8,
 }
 
 #[derive(Debug)]
@@ -358,9 +398,17 @@ struct Sm {
     /// Ready warps bucketed per block slot; issued oldest-block-first
     /// (greedy-then-oldest, the scheduling policy Accel-Sim models) by
     /// walking `slot_order`.
-    ready: Vec<Vec<usize>>,
-    /// Total warps across the `ready` buckets.
-    ready_count: usize,
+    ready: Vec<Vec<ReadyWarp>>,
+    /// Ready warps per class slot.
+    ready_per_class: [u32; CLASS_SLOTS],
+    /// Bit per class slot with at least one ready warp.
+    ready_classes: u16,
+    /// Per block slot: issue walks that visited the slot's whole bucket.
+    /// A global-memory warp draws its sector count on every visit, stalled
+    /// or not; the walk passes stalled warps without loading them, and a
+    /// warp settles the draws of the visits it waited through when it next
+    /// issues.
+    bucket_walks: Vec<u64>,
     /// Block slots in ascending-block-age order (a re-dispatched slot moves
     /// to the back).
     slot_order: Vec<usize>,
@@ -373,6 +421,30 @@ struct Sm {
     l1: SetAssocCache,
 }
 
+impl Sm {
+    /// Adds `warp_idx` to the ready set.
+    fn make_ready(&mut self, warp_idx: usize) {
+        let warp = &mut self.warps[warp_idx];
+        warp.ready_walk = self.bucket_walks[warp.block_slot];
+        let class = class_slot(warp.next);
+        self.ready[warp.block_slot].push(ReadyWarp {
+            warp: warp_idx as u32,
+            class,
+        });
+        self.ready_per_class[class as usize] += 1;
+        self.ready_classes |= 1 << class;
+    }
+
+    /// Removes entry `i` of block slot `slot`'s ready bucket.
+    fn unready(&mut self, slot: usize, i: usize) {
+        let class = self.ready[slot].swap_remove(i).class as usize;
+        self.ready_per_class[class] -= 1;
+        if self.ready_per_class[class] == 0 {
+            self.ready_classes &= !(1 << class);
+        }
+    }
+}
+
 struct Engine<'a> {
     config: &'a GpuConfig,
     options: &'a SimOptions,
@@ -381,11 +453,10 @@ struct Engine<'a> {
     warps_per_block: u32,
     blocks_total: u64,
     wave_blocks: u64,
-    rates: [f64; InstClass::ALL.len()],
     latencies: [u64; InstClass::ALL.len()],
-    /// Classes the kernel actually executes — the only credits worth
-    /// refilling each cycle.
-    active_classes: Vec<usize>,
+    /// `(class index, per-cycle rate, credit cap)` of each class the kernel
+    /// actually executes — the only credits worth refilling each cycle.
+    refills: Vec<(usize, f64, f64)>,
     sms: Vec<Sm>,
     l2: SetAssocCache,
     icnt: Option<Interconnect>,
@@ -409,14 +480,13 @@ impl<'a> Engine<'a> {
         let warps_per_block = kernel.warps_per_block();
         let slots_per_sm = occ.blocks_per_sm() as usize;
 
-        let mut rates = [0.0; InstClass::ALL.len()];
         let mut latencies = [0u64; InstClass::ALL.len()];
-        let mut active_classes = Vec::new();
+        let mut refills = Vec::new();
         for (i, &class) in InstClass::ALL.iter().enumerate() {
-            rates[i] = warp_throughput(config, class);
             latencies[i] = base_latency(config, class) as u64;
             if kernel.count(class) > 0 && class != InstClass::Sync {
-                active_classes.push(i);
+                let rate = warp_throughput(config, class);
+                refills.push((i, rate, (rate * 2.0).max(2.0)));
             }
         }
 
@@ -433,7 +503,9 @@ impl<'a> Engine<'a> {
                     })
                     .collect(),
                 ready: (0..slots_per_sm).map(|_| Vec::new()).collect(),
-                ready_count: 0,
+                ready_per_class: [0; CLASS_SLOTS],
+                ready_classes: 0,
+                bucket_walks: vec![0; slots_per_sm],
                 slot_order: (0..slots_per_sm).collect(),
                 pending_next: Vec::new(),
                 sleeping: BinaryHeap::new(),
@@ -450,9 +522,8 @@ impl<'a> Engine<'a> {
             warps_per_block,
             blocks_total: kernel.total_blocks(),
             wave_blocks: occ.wave_blocks(),
-            rates,
             latencies,
-            active_classes,
+            refills,
             sms,
             l2: SetAssocCache::with_capacity(config.l2_bytes(), 16, 32),
             icnt: options
@@ -480,9 +551,10 @@ impl<'a> Engine<'a> {
             engine.sms[sm].warps = (0..slots)
                 .map(|_| Warp {
                     cursor: engine.program.cursor(),
+                    next: None,
                     block_slot: 0,
                     stream: UnitStream::new(0),
-                    issued: 0,
+                    ready_walk: 0,
                     active: false,
                 })
                 .collect();
@@ -520,6 +592,7 @@ impl<'a> Engine<'a> {
             let idx = slot * wpb + w;
             let warp = &mut sm_ref.warps[idx];
             warp.cursor = self.program.cursor();
+            warp.next = self.program.fetch(&warp.cursor);
             warp.block_slot = slot;
             // mix64 decorrelates the streams: without it, seeds that differ
             // by multiples of the splitmix64 increment would alias into one
@@ -527,7 +600,6 @@ impl<'a> Engine<'a> {
             warp.stream = UnitStream::new(mix64(
                 seed_base ^ mix64(block_id) ^ (w as u64).rotate_left(17),
             ));
-            warp.issued = 0;
             warp.active = true;
             sm_ref
                 .sleeping
@@ -542,8 +614,7 @@ impl<'a> Engine<'a> {
         block_id: u64,
         warm_sectors: u64,
         ws_sectors: u64,
-    ) -> (u64, bool) {
-        // Returns (sector address, is_l1_candidate).
+    ) -> u64 {
         let u = stream.next_f64();
         let l1p = kernel.l1_locality();
         let l2p = kernel.l2_locality();
@@ -551,15 +622,15 @@ impl<'a> Engine<'a> {
             // Per-block hot region: fits in L1 comfortably.
             let base = (block_id * HOT_SECTORS * 7) % ws_sectors;
             let s = base + stream.next_u64() % HOT_SECTORS;
-            ((s % ws_sectors) * 32, true)
+            (s % ws_sectors) * 32
         } else if u < l1p + (1.0 - l1p) * l2p {
             // Kernel-wide warm region sized to (half) the L2.
             let s = stream.next_u64() % warm_sectors;
-            (s * 32, false)
+            s * 32
         } else {
             // Cold: anywhere in the working set.
             let s = stream.next_u64() % ws_sectors;
-            (s * 32, false)
+            s * 32
         }
     }
 
@@ -580,7 +651,7 @@ impl<'a> Engine<'a> {
             let mut any_ready = false;
             for sm_idx in 0..self.sms.len() {
                 self.wake(sm_idx);
-                if self.sms[sm_idx].ready_count > 0 {
+                if self.sms[sm_idx].ready_classes != 0 {
                     any_ready = true;
                     self.issue_cycle(sm_idx);
                 }
@@ -675,20 +746,17 @@ impl<'a> Engine<'a> {
     fn wake(&mut self, sm_idx: usize) {
         let now = self.cycle;
         let sm = &mut self.sms[sm_idx];
-        let pending = std::mem::take(&mut sm.pending_next);
-        for idx in pending {
-            let slot = sm.warps[idx].block_slot;
-            sm.ready[slot].push(idx);
-            sm.ready_count += 1;
+        for i in 0..sm.pending_next.len() {
+            let idx = sm.pending_next[i];
+            sm.make_ready(idx);
         }
-        while let Some(Reverse((t, idx))) = sm.sleeping.peek().copied() {
+        sm.pending_next.clear();
+        while let Some(&Reverse((t, idx))) = sm.sleeping.peek() {
             if t > now {
                 break;
             }
             sm.sleeping.pop();
-            let slot = sm.warps[idx].block_slot;
-            sm.ready[slot].push(idx);
-            sm.ready_count += 1;
+            sm.make_ready(idx);
         }
     }
 
@@ -696,125 +764,129 @@ impl<'a> Engine<'a> {
     fn issue_cycle(&mut self, sm_idx: usize) {
         // Refill per-class credits (only classes this kernel executes),
         // capping the surplus so idle pipes cannot bank an unbounded burst;
-        // debt from oversized accesses drains first.
+        // debt from oversized accesses drains first. Leaky-bucket issue: a
+        // warp may issue while its class credit is positive and drive it
+        // negative (so a 32-sector divergent access still issues, then
+        // blocks the pipe for the cycles it deserves). Credits only fall
+        // within a cycle, so a class that runs out stays out until the next
+        // refill: `issuable` tracks the class slots that can still issue.
+        let mut issuable = CREDIT_FREE;
         {
             let sm = &mut self.sms[sm_idx];
-            for &c in &self.active_classes {
-                let rate = self.rates[c];
-                sm.credits[c] = (sm.credits[c] + rate).min((rate * 2.0).max(2.0));
+            for &(c, rate, cap) in &self.refills {
+                sm.credits[c] = (sm.credits[c] + rate).min(cap);
+                if sm.credits[c] > 0.0 {
+                    issuable |= 1 << c;
+                }
             }
         }
 
         let issue_width = self.config.issue_width() as usize;
+        // A global access touches `whole` sectors plus one more with
+        // probability `frac`.
+        let coalescing = self.kernel.coalescing_sectors();
+        let whole = coalescing.floor() as u64;
+        let frac = coalescing - whole as f64;
         let mut issued = 0usize;
         // Greedy-then-oldest: walk slots oldest block first; warps that
         // stall on a structural hazard stay in their bucket for next cycle.
+        // `slot_order` is re-read at every step because a retirement that
+        // dispatches a new block moves its slot to the back mid-walk.
         let n_slots = self.sms[sm_idx].slot_order.len();
         'slots: for oi in 0..n_slots {
             let slot = self.sms[sm_idx].slot_order[oi];
             let mut i = 0;
             loop {
+                let sm = &mut self.sms[sm_idx];
                 if issued >= issue_width {
+                    // The issue width cuts the walk: the warps before the
+                    // cut were visited and stalled, so they draw now; the
+                    // rest of the walk never happens.
+                    for entry in &sm.ready[slot][..i] {
+                        if GLOBAL_MEMORY & 1 << entry.class != 0 {
+                            sm.warps[entry.warp as usize].stream.skip(1);
+                        }
+                    }
                     break 'slots;
                 }
-                let warp_idx = {
-                    let bucket = &self.sms[sm_idx].ready[slot];
-                    if i >= bucket.len() {
-                        break;
+                if sm.ready_classes & issuable == 0 {
+                    // No ready warp can issue any more, so every remaining
+                    // visit would stall: count this bucket and all later
+                    // ones as walked. (`slot` may no longer sit at `oi` if
+                    // its retiring block just moved it to the back.)
+                    sm.bucket_walks[slot] += 1;
+                    for &later in &sm.slot_order[oi + 1..] {
+                        sm.bucket_walks[later] += 1;
                     }
-                    bucket[i]
-                };
-                match self.try_issue(sm_idx, warp_idx) {
-                    IssueOutcome::Issued => {
-                        let sm = &mut self.sms[sm_idx];
-                        sm.ready[slot].swap_remove(i);
-                        sm.ready_count -= 1;
-                        issued += 1;
-                    }
-                    IssueOutcome::Retired => {
-                        let sm = &mut self.sms[sm_idx];
-                        sm.ready[slot].swap_remove(i);
-                        sm.ready_count -= 1;
-                    }
-                    IssueOutcome::Stalled => i += 1,
+                    break 'slots;
                 }
+                let Some(&entry) = sm.ready[slot].get(i) else {
+                    break;
+                };
+                if issuable & 1 << entry.class == 0 {
+                    i += 1;
+                    continue;
+                }
+                let warp_idx = entry.warp as usize;
+                if entry.class == RETIRE {
+                    self.retire_warp(sm_idx, warp_idx);
+                } else if entry.class == InstClass::Sync as u8 {
+                    // Barriers bypass the credit system.
+                    self.arrive_barrier(sm_idx, warp_idx);
+                    issued += 1;
+                } else {
+                    let class = InstClass::ALL[entry.class as usize];
+                    // Memory operations consume credit proportional to
+                    // their sector count (the coalescer occupies the LDST
+                    // pipe longer for divergent accesses).
+                    let sectors = if class.is_global_memory() {
+                        let warp = &mut sm.warps[warp_idx];
+                        warp.stream
+                            .skip(sm.bucket_walks[warp.block_slot] - warp.ready_walk);
+                        whole + u64::from(warp.stream.next_f64() < frac)
+                    } else {
+                        0
+                    };
+                    self.issue(sm_idx, warp_idx, class, sectors);
+                    if self.sms[sm_idx].credits[class.index()] <= 0.0 {
+                        issuable &= !(1 << entry.class);
+                    }
+                    issued += 1;
+                }
+                self.sms[sm_idx].unready(slot, i);
             }
+            self.sms[sm_idx].bucket_walks[slot] += 1;
         }
     }
 
-    fn try_issue(&mut self, sm_idx: usize, warp_idx: usize) -> IssueOutcome {
+    /// Issues `class` (a credit-checked, non-barrier instruction) for
+    /// `warp_idx`, touching `sectors` sectors if it accesses global memory,
+    /// and schedules the warp's next issue.
+    fn issue(&mut self, sm_idx: usize, warp_idx: usize, class: InstClass, sectors: u64) {
         let now = self.cycle;
-        let class = {
-            let sm = &self.sms[sm_idx];
-            let warp = &sm.warps[warp_idx];
-            match self.program.fetch(&warp.cursor) {
-                Some(c) => c,
-                None => {
-                    // Warp retired.
-                    self.retire_warp(sm_idx, warp_idx);
-                    return IssueOutcome::Retired;
-                }
-            }
-        };
         let class_idx = class.index();
-
-        // Barriers bypass the credit system.
-        if class == InstClass::Sync {
-            self.arrive_barrier(sm_idx, warp_idx);
-            return IssueOutcome::Issued;
-        }
-
-        // Credit check: memory operations consume credit proportional to
-        // their sector count (the coalescer occupies the LDST pipe longer
-        // for divergent accesses).
-        let sectors = if class.is_global_memory() {
-            let sm = &mut self.sms[sm_idx];
-            let warp = &mut sm.warps[warp_idx];
-            let c = self.kernel.coalescing_sectors();
-            let base = c.floor() as u64;
-            let frac = c - base as f64;
-            base + if warp.stream.next_f64() < frac { 1 } else { 0 }
-        } else {
-            0
-        };
         let cost = if class.is_global_memory() {
             (sectors as f64 / 4.0).max(0.25)
         } else {
             1.0
         };
-        {
-            // Leaky-bucket issue: a warp may issue while the class credit is
-            // positive and drive it negative (so a 32-sector divergent access
-            // still issues, then blocks the pipe for the cycles it deserves).
-            let sm = &mut self.sms[sm_idx];
-            if sm.credits[class_idx] <= 0.0 {
-                return IssueOutcome::Stalled;
-            }
-            sm.credits[class_idx] -= cost;
-        }
+        self.sms[sm_idx].credits[class_idx] -= cost;
 
         // Determine when the warp can issue its next instruction.
         let mut result_at = now + self.latencies[class_idx];
         if class.is_global_memory() {
-            let block_id = {
-                let sm = &self.sms[sm_idx];
-                let slot = sm.warps[warp_idx].block_slot;
-                sm.blocks[slot].block_id
-            };
+            let sm = &mut self.sms[sm_idx];
+            let warp = &mut sm.warps[warp_idx];
+            let block_id = sm.blocks[warp.block_slot].block_id;
             let mut worst = now + 1;
             for _ in 0..sectors.max(1) {
-                let (addr, _) = {
-                    let sm = &mut self.sms[sm_idx];
-                    let warp = &mut sm.warps[warp_idx];
-                    Self::gen_address(
-                        &mut warp.stream,
-                        self.kernel,
-                        block_id,
-                        self.warm_sectors,
-                        self.ws_sectors,
-                    )
-                };
-                let sm = &mut self.sms[sm_idx];
+                let addr = Self::gen_address(
+                    &mut warp.stream,
+                    self.kernel,
+                    block_id,
+                    self.warm_sectors,
+                    self.ws_sectors,
+                );
                 let ready = if sm.l1.access(addr) {
                     now + self.latencies[class_idx]
                 } else {
@@ -850,27 +922,21 @@ impl<'a> Engine<'a> {
             InstClass::LdGlobal | InstClass::LdLocal | InstClass::AtomicGlobal => result_at,
             _ => result_at.min(now + 8),
         };
-        let (next_issue_at, executed) = {
-            let sm = &mut self.sms[sm_idx];
-            let warp = &mut sm.warps[warp_idx];
-            warp.issued += 1;
-            let dependent = warp.issued.is_multiple_of(DEP_EVERY);
-            self.program.advance(&mut warp.cursor);
-            (
-                if dependent { dep_wait.max(now + 1) } else { now + 1 },
-                warp.cursor.executed(),
-            )
-        };
-        let _ = executed;
         self.instructions += 1;
-
         let sm = &mut self.sms[sm_idx];
+        let warp = &mut sm.warps[warp_idx];
+        self.program.advance(&mut warp.cursor);
+        warp.next = self.program.fetch(&warp.cursor);
+        let next_issue_at = if warp.cursor.executed().is_multiple_of(DEP_EVERY) {
+            dep_wait.max(now + 1)
+        } else {
+            now + 1
+        };
         if next_issue_at <= now + 1 {
             sm.pending_next.push(warp_idx);
         } else {
             sm.sleeping.push(Reverse((next_issue_at, warp_idx)));
         }
-        IssueOutcome::Issued
     }
 
     fn arrive_barrier(&mut self, sm_idx: usize, warp_idx: usize) {
@@ -879,8 +945,8 @@ impl<'a> Engine<'a> {
         let release: Option<Vec<usize>> = {
             let sm = &mut self.sms[sm_idx];
             let warp = &mut sm.warps[warp_idx];
-            warp.issued += 1;
             self.program.advance(&mut warp.cursor);
+            warp.next = self.program.fetch(&warp.cursor);
             let slot = warp.block_slot;
             let block = &mut sm.blocks[slot];
             block.barrier_arrived += 1;
@@ -918,12 +984,6 @@ impl<'a> Engine<'a> {
             self.try_dispatch(sm_idx, slot);
         }
     }
-}
-
-enum IssueOutcome {
-    Issued,
-    Stalled,
-    Retired,
 }
 
 #[cfg(test)]

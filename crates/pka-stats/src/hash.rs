@@ -112,6 +112,24 @@ impl UnitStream {
         z ^ (z >> 31)
     }
 
+    /// Advances the stream past `n` draws without producing them: the
+    /// state after `skip(n)` equals the state after `n` calls to
+    /// [`next_u64`](Self::next_u64), in O(1).
+    ///
+    /// ```
+    /// use pka_stats::hash::UnitStream;
+    ///
+    /// let (mut a, mut b) = (UnitStream::new(9), UnitStream::new(9));
+    /// for _ in 0..5 {
+    ///     a.next_f64();
+    /// }
+    /// b.skip(5);
+    /// assert_eq!(a, b);
+    /// ```
+    pub fn skip(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    }
+
     /// Next value uniform in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
@@ -167,6 +185,18 @@ mod tests {
         // Published FNV-1a 64-bit test vectors.
         assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn skip_matches_drawing_and_discarding() {
+        for n in [0u64, 1, 7, 1_000] {
+            let (mut drawn, mut skipped) = (UnitStream::new(n ^ 0x55), UnitStream::new(n ^ 0x55));
+            for _ in 0..n {
+                drawn.next_u64();
+            }
+            skipped.skip(n);
+            assert_eq!(skipped.next_u64(), drawn.next_u64(), "n = {n}");
+        }
     }
 
     #[test]
