@@ -11,8 +11,8 @@
 #      test harness's parallelism
 #   4. workspace tests (member-crate unit suites are NOT part of the root
 #      package run)
-#   5. SIMD dispatch matrix — the tier-1 suite again under codegen pinned
-#      to AVX2, pinned to SSE4.1, and with the vector tiers disabled
+#   5. SIMD dispatch matrix — the tier-1 suite and pka-ml's suites again
+#      under codegen pinned to AVX2, pinned to SSE4.1, and with the vector tiers disabled
 #      entirely (PKA_NO_SIMD=1): the differential parity proof must hold
 #      on every dispatch path, and the forced-scalar fallback must pass
 #      the identical suite with zero test changes
@@ -73,15 +73,18 @@ cargo test -q -- --test-threads=1
 echo "==> cargo test --workspace -q (member crates)"
 cargo test --workspace -q
 
-echo "==> SIMD dispatch matrix (tier 1 under +avx2 / +sse4.1 / forced scalar)"
+echo "==> SIMD dispatch matrix (tier 1 + pka-ml under +avx2 / +sse4.1 / forced scalar)"
 # Pinned-codegen runs get their own target dirs so they don't thrash the
 # main incremental cache; the forced-scalar run changes no codegen and
-# reuses the default dir.
+# reuses the default dir. Each leg also runs pka-ml's own suites (the
+# classifier batch parity, label memo and MLP exactness oracle), whose
+# bit-equality claims depend on codegen just as the SIMD kernels' do.
+SIMD_PKGS="-p principal-kernel-analysis -p pka-ml"
 RUSTFLAGS="-C target-feature=+avx2" CARGO_TARGET_DIR=target/simd-avx2 \
-    cargo test -q
+    cargo test -q $SIMD_PKGS
 RUSTFLAGS="-C target-feature=+sse4.1" CARGO_TARGET_DIR=target/simd-sse41 \
-    cargo test -q
-PKA_NO_SIMD=1 cargo test -q
+    cargo test -q $SIMD_PKGS
+PKA_NO_SIMD=1 cargo test -q $SIMD_PKGS
 
 echo "==> bench smoke (reduced iterations)"
 BENCH_SMOKE_JSON="$(mktemp -t bench_pka_smoke.XXXXXX.json)"

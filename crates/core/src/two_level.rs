@@ -1,7 +1,7 @@
 use std::ops::Range;
 
 use pka_gpu::KernelId;
-use pka_ml::classify::{Ensemble, GaussianNb, LabelMemo, MlpClassifier, SgdClassifier};
+use pka_ml::classify::{Ensemble, LabelMemo};
 use pka_ml::Matrix;
 use pka_profile::{LightweightRecord, Profiler};
 use pka_stats::Executor;
@@ -132,13 +132,7 @@ impl TwoLevel {
         let train_span = pka_obs::span("two_level.train");
         let train_records = profiler.lightweight(workload, 0..j);
         let x = lightweight_matrix(&train_records)?;
-        let y = selection.labels().to_vec();
-        let seed = self.config.classifier_seed;
-        let ensemble = Ensemble::new(vec![
-            Box::new(SgdClassifier::fit(&x, &y, seed)?),
-            Box::new(GaussianNb::fit(&x, &y)?),
-            Box::new(MlpClassifier::fit(&x, &y, seed ^ 0xff)?),
-        ]);
+        let ensemble = Ensemble::fit_tail(&x, selection.labels(), self.config.classifier_seed)?;
         drop(train_span);
 
         // Classify the tail — millions of kernels for MLPerf — in chunks:

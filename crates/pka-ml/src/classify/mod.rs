@@ -175,6 +175,48 @@ impl Ensemble {
         Self { members }
     }
 
+    /// Fits PKA's tail ensemble on a detailed prefix: SGD (seeded with
+    /// `seed`), Gaussian naive Bayes, and the MLP (seeded with
+    /// `seed ^ 0xff`), in that vote order.
+    ///
+    /// Batch two-level selection, stream bootstrap and stream resume all
+    /// build their ensemble here, so the three can never train different
+    /// models from the same prefix. Each member's fit runs under its own
+    /// span (`classify.fit.sgd`, `classify.fit.gnb`, `classify.fit.mlp`),
+    /// nested in the caller's.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first member's fit error (see each model's `fit`).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pka_ml::classify::{Classifier, Ensemble};
+    /// use pka_ml::Matrix;
+    ///
+    /// let x = Matrix::from_rows(&[vec![0.0], vec![0.1], vec![5.0], vec![5.1]])?;
+    /// let ensemble = Ensemble::fit_tail(&x, &[0, 0, 1, 1], 7)?;
+    /// assert_eq!(ensemble.len(), 3);
+    /// assert_eq!(ensemble.predict(&[4.9])?, 1);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn fit_tail(x: &Matrix, y: &[usize], seed: u64) -> Result<Self, MlError> {
+        let sgd = {
+            let _span = pka_obs::span("classify.fit.sgd");
+            SgdClassifier::fit(x, y, seed)?
+        };
+        let gnb = {
+            let _span = pka_obs::span("classify.fit.gnb");
+            GaussianNb::fit(x, y)?
+        };
+        let mlp = {
+            let _span = pka_obs::span("classify.fit.mlp");
+            MlpClassifier::fit(x, y, seed ^ 0xff)?
+        };
+        Ok(Self::new(vec![Box::new(sgd), Box::new(gnb), Box::new(mlp)]))
+    }
+
     /// Number of member classifiers.
     pub fn len(&self) -> usize {
         self.members.len()

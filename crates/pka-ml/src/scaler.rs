@@ -88,6 +88,20 @@ impl StandardScaler {
     ///
     /// Returns [`MlError::DimensionMismatch`] on column-count mismatch.
     pub fn transform_row(&self, row: &[f64]) -> Result<Vec<f64>, MlError> {
+        Ok(self.standardised(row)?.collect())
+    }
+
+    /// The standardised values of one sample, computed lazily in column
+    /// order with the same expression as [`transform_row`](Self::transform_row),
+    /// so a consumer that reads each value once needs no buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MlError::DimensionMismatch`] on column-count mismatch.
+    pub(crate) fn standardised<'a>(
+        &'a self,
+        row: &'a [f64],
+    ) -> Result<impl Iterator<Item = f64> + 'a, MlError> {
         if row.len() != self.means.len() {
             return Err(MlError::DimensionMismatch {
                 expected: self.means.len(),
@@ -97,8 +111,7 @@ impl StandardScaler {
         Ok(row
             .iter()
             .zip(self.means.iter().zip(&self.std_devs))
-            .map(|(&x, (&m, &s))| (x - m) / s)
-            .collect())
+            .map(|(&x, (&m, &s))| (x - m) / s))
     }
 
     /// Applies the learned standardisation to a single sample, writing into
@@ -116,11 +129,8 @@ impl StandardScaler {
                 actual: row.len(),
             });
         }
-        for (o, (&x, (&m, &s))) in out
-            .iter_mut()
-            .zip(row.iter().zip(self.means.iter().zip(&self.std_devs)))
-        {
-            *o = (x - m) / s;
+        for (o, v) in out.iter_mut().zip(self.standardised(row)?) {
+            *o = v;
         }
         Ok(())
     }

@@ -2,7 +2,7 @@ use pka_core::{
     selection_attribution, ErrorAttribution, GroupProvenance, Pks, PksConfig,
     RepresentativePolicy, Selection,
 };
-use pka_ml::classify::{Ensemble, GaussianNb, LabelMemo, MlpClassifier, SgdClassifier};
+use pka_ml::classify::{Ensemble, LabelMemo};
 use pka_ml::Matrix;
 use pka_profile::{DetailedRecord, LightweightRecord};
 use pka_stats::hash::{mix64, UnitStream};
@@ -444,9 +444,10 @@ impl PrefixModel {
             }
         }
 
-        // Train the tail ensemble exactly like the batch two-level pipeline
-        // (same models, same seeds) — unless the stream already ended
-        // inside the prefix, in which case there is no tail to classify.
+        // Train the tail ensemble with the batch two-level pipeline's
+        // constructor (same models, same seeds) — unless the stream already
+        // ended inside the prefix, in which case there is no tail to
+        // classify.
         let ensemble = if ended {
             None
         } else {
@@ -454,13 +455,11 @@ impl PrefixModel {
             let x = Matrix::from_rows(&rows).map_err(|e| StreamError::Pipeline {
                 message: e.to_string(),
             })?;
-            let y = selection.labels().to_vec();
-            let seed = config.classifier_seed;
-            Some(Ensemble::new(vec![
-                Box::new(SgdClassifier::fit(&x, &y, seed)?),
-                Box::new(GaussianNb::fit(&x, &y)?),
-                Box::new(MlpClassifier::fit(&x, &y, seed ^ 0xff)?),
-            ]))
+            Some(Ensemble::fit_tail(
+                &x,
+                selection.labels(),
+                config.classifier_seed,
+            )?)
         };
 
         let records = prefix.len() as u64;

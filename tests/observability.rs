@@ -172,7 +172,8 @@ fn simulate_manifest_covers_wall_time_and_stop_rule() {
 /// A traced two-level select: every tail kernel is either a classifier-memo
 /// hit or a miss (one ensemble row), so the two counters sum to the
 /// classified tail — and on a template-heavy stream the memo absorbs almost
-/// all of it. This file's only global-registry test; the others observe
+/// all of it, and the training span splits into one span per ensemble
+/// member. This file's only global-registry test; the others observe
 /// child processes.
 #[test]
 fn traced_two_level_memo_counters_cover_the_classified_tail() {
@@ -204,5 +205,23 @@ fn traced_two_level_memo_counters_cover_the_classified_tail() {
     assert!(misses >= 1 && hits > 10 * misses, "hits {hits}, misses {misses}");
     let body = std::fs::read_to_string(&trace).expect("read trace");
     assert!(body.contains("\"two_level.classify\""), "trace lacks the classify span");
+    // Each ensemble member's fit is its own span, one level inside the
+    // training span.
+    let depth_of = |name: &str| -> Vec<u64> {
+        body.lines()
+            .filter_map(|l| serde_json::from_str::<Value>(l).ok())
+            .filter(|v| v["type"].as_str() == Some("span") && v["name"].as_str() == Some(name))
+            .map(|v| v["depth"].as_u64().expect("span depth"))
+            .collect()
+    };
+    let train = depth_of("two_level.train");
+    assert_eq!(train.len(), 1, "one training span");
+    for member in ["classify.fit.sgd", "classify.fit.gnb", "classify.fit.mlp"] {
+        assert_eq!(
+            depth_of(member),
+            vec![train[0] + 1],
+            "{member} nests in two_level.train"
+        );
+    }
     std::fs::remove_file(&trace).ok();
 }
